@@ -217,7 +217,7 @@ NatRun nat_core_scaling(std::size_t cores, std::size_t packets_per_port) {
   network.connect(server, 0, sw, kInside, sim::LinkSpec::gbps(10));
   std::vector<sim::Host*> inside;
   for (int i = 0; i < kInside; ++i) {
-    sim::Host& host = network.add_host("h" + std::to_string(i + 1), host_mac(i), host_ip(i));
+    sim::Host& host = network.add_host(util::format("h%d", i + 1), host_mac(i), host_ip(i));
     network.connect(host, 0, sw, static_cast<std::size_t>(i), sim::LinkSpec::gbps(1));
     inside.push_back(&host);
   }

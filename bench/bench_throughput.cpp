@@ -664,9 +664,9 @@ int main(int argc, char** argv) {
       const char* queues;
     };
     const Config configs[] = {
-        {{sim::SchedulerKind::kFcfs}, 0, "shared"},  // the pre-refactor datapath
-        {{sim::SchedulerKind::kRoundRobin}, 256, "per-port"},
-        {{sim::SchedulerKind::kDrr}, 256, "per-port"},
+        {scheduler_spec(sim::SchedulerKind::kFcfs), 0, "shared"},  // the pre-refactor datapath
+        {scheduler_spec(sim::SchedulerKind::kRoundRobin), 256, "per-port"},
+        {scheduler_spec(sim::SchedulerKind::kDrr), 256, "per-port"},
     };
     for (const Config& config : configs) {
       const HolRun run = hol_run(config.spec, config.port_queue_capacity);

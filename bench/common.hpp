@@ -185,6 +185,15 @@ struct RigOptions {
   }
 };
 
+/// A scheduler spec of `kind` with every other knob at its default
+/// (brace-initializing just the kind leaves the other members to
+/// -Wmissing-field-initializers).
+inline sim::SchedulerSpec scheduler_spec(sim::SchedulerKind kind) {
+  sim::SchedulerSpec spec;
+  spec.kind = kind;
+  return spec;
+}
+
 inline net::MacAddr host_mac(int index) {
   return net::MacAddr::from_u64(0x020000000001ULL + static_cast<std::uint64_t>(index));
 }
@@ -228,7 +237,7 @@ struct BaseRig {
   void add_hosts(sim::Node& attach_to, const RigOptions& options, int first_switch_port = 0) {
     for (int i = 0; i < options.host_count; ++i) {
       sim::Host& host =
-          network.add_host("h" + std::to_string(i + 1), host_mac(i), host_ip(i));
+          network.add_host(util::format("h%d", i + 1), host_mac(i), host_ip(i));
       network.connect(host, 0, attach_to,
                       static_cast<std::size_t>(first_switch_port + i), options.access_link);
       hosts.push_back(&host);

@@ -4,8 +4,11 @@
 
 namespace harmless::net {
 
-std::uint16_t internet_checksum(BytesView data) {
-  std::uint32_t sum = 0;
+namespace {
+
+/// Folded one's-complement checksum of `data`'s big-endian 16-bit words
+/// added onto `sum` (an odd trailing byte is padded with zero).
+std::uint16_t checksum_from(std::uint32_t sum, BytesView data) {
   std::size_t i = 0;
   for (; i + 1 < data.size(); i += 2) sum += rd16(data, i);
   if (i < data.size()) sum += static_cast<std::uint32_t>(data[i]) << 8;  // odd trailing byte
@@ -13,16 +16,19 @@ std::uint16_t internet_checksum(BytesView data) {
   return static_cast<std::uint16_t>(~sum);
 }
 
+}  // namespace
+
+std::uint16_t internet_checksum(BytesView data) { return checksum_from(0, data); }
+
 std::uint16_t l4_checksum(Ipv4Addr src, Ipv4Addr dst, IpProto proto, BytesView l4_segment) {
-  Bytes pseudo;
-  pseudo.reserve(12 + l4_segment.size());
-  put32(pseudo, src.value());
-  put32(pseudo, dst.value());
-  put8(pseudo, 0);
-  put8(pseudo, static_cast<std::uint8_t>(proto));
-  put16(pseudo, static_cast<std::uint16_t>(l4_segment.size()));
-  pseudo.insert(pseudo.end(), l4_segment.begin(), l4_segment.end());
-  return internet_checksum(pseudo);
+  // The 12-byte pseudo-header (src, dst, zero, proto, L4 length) is
+  // even-sized, so its words simply add in ahead of the segment's —
+  // no buffer needed.
+  const std::uint32_t pseudo = (src.value() >> 16) + (src.value() & 0xffff) +
+                               (dst.value() >> 16) + (dst.value() & 0xffff) +
+                               static_cast<std::uint8_t>(proto) +
+                               static_cast<std::uint16_t>(l4_segment.size());
+  return checksum_from(pseudo, l4_segment);
 }
 
 std::optional<Ipv4Header> Ipv4Header::parse(BytesView payload) {

@@ -40,7 +40,8 @@ struct Ipv4Header {
 /// RFC 1071 internet checksum over an arbitrary byte range.
 std::uint16_t internet_checksum(BytesView data);
 
-/// TCP/UDP checksum with the IPv4 pseudo-header.
+/// TCP/UDP checksum with the IPv4 pseudo-header (summed arithmetically,
+/// no copy of the segment).
 std::uint16_t l4_checksum(Ipv4Addr src, Ipv4Addr dst, IpProto proto, BytesView l4_segment);
 
 }  // namespace harmless::net

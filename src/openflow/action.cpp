@@ -5,6 +5,8 @@
 #include "net/l4.hpp"
 #include "util/strings.hpp"
 
+#include <optional>
+
 namespace harmless::openflow {
 
 namespace {
@@ -49,6 +51,27 @@ void refresh_l4_checksum(net::Bytes& frame, std::size_t l3) {
   }
 }
 
+/// Offset of the IPv4 header when `frame` carries one (version 4, room
+/// for a full header), else nullopt.
+std::optional<std::size_t> ipv4_offset(const net::Bytes& frame) {
+  if (frame.size() < net::kEthHeaderSize) return std::nullopt;
+  const std::size_t l3 = l3_offset(frame);
+  if (frame.size() < l3 + net::kIpv4HeaderSize) return std::nullopt;
+  if ((frame[l3] >> 4) != 4) return std::nullopt;
+  return l3;
+}
+
+/// Write the source or destination TCP/UDP port. False (frame
+/// untouched) for other protocols or a frame too short for the ports.
+bool write_l4_port(net::Bytes& frame, std::size_t l3, bool source, std::uint16_t port) {
+  const auto proto = static_cast<net::IpProto>(frame[l3 + 9]);
+  if (proto != net::IpProto::kTcp && proto != net::IpProto::kUdp) return false;
+  const std::size_t l4 = l3 + net::kIpv4HeaderSize;
+  if (frame.size() < l4 + 4) return false;
+  net::wr16(std::span<std::uint8_t>(frame.data(), frame.size()), source ? l4 : l4 + 2, port);
+  return true;
+}
+
 bool set_field(const SetFieldAction& action, net::Packet& packet) {
   net::Bytes& frame = packet.frame();
   if (frame.size() < net::kEthHeaderSize) return false;
@@ -78,36 +101,42 @@ bool set_field(const SetFieldAction& action, net::Packet& packet) {
   }
 
   // IP/L4 rewrites need an IPv4 packet.
-  const std::size_t l3 = l3_offset(frame);
-  if (frame.size() < l3 + net::kIpv4HeaderSize) return false;
-  if ((frame[l3] >> 4) != 4) return false;
+  const std::optional<std::size_t> l3 = ipv4_offset(frame);
+  if (!l3) return false;
 
   switch (action.field) {
     case Field::kIpSrc:
-      net::wr32(bytes, l3 + 12, static_cast<std::uint32_t>(action.value));
+      net::wr32(bytes, *l3 + 12, static_cast<std::uint32_t>(action.value));
       break;
     case Field::kIpDst:
-      net::wr32(bytes, l3 + 16, static_cast<std::uint32_t>(action.value));
+      net::wr32(bytes, *l3 + 16, static_cast<std::uint32_t>(action.value));
       break;
     case Field::kL4Src:
-    case Field::kL4Dst: {
-      const auto proto = static_cast<net::IpProto>(frame[l3 + 9]);
-      if (proto != net::IpProto::kTcp && proto != net::IpProto::kUdp) return false;
-      const std::size_t l4 = l3 + net::kIpv4HeaderSize;
-      if (frame.size() < l4 + 4) return false;
-      const std::size_t offset = (action.field == Field::kL4Src) ? l4 : l4 + 2;
-      net::wr16(bytes, offset, static_cast<std::uint16_t>(action.value));
+    case Field::kL4Dst:
+      if (!write_l4_port(frame, *l3, action.field == Field::kL4Src,
+                         static_cast<std::uint16_t>(action.value)))
+        return false;
       break;
-    }
     default:
       return false;
   }
-  refresh_ip_checksum(frame, l3);
-  refresh_l4_checksum(frame, l3);
+  refresh_ip_checksum(frame, *l3);
+  refresh_l4_checksum(frame, *l3);
   return true;
 }
 
 }  // namespace
+
+bool rewrite_endpoint(net::Packet& packet, bool source, std::uint32_t ip, std::uint16_t port) {
+  net::Bytes& frame = packet.frame();
+  const std::optional<std::size_t> l3 = ipv4_offset(frame);
+  if (!l3) return false;
+  net::wr32(std::span<std::uint8_t>(frame.data(), frame.size()), *l3 + (source ? 12 : 16), ip);
+  (void)write_l4_port(frame, *l3, source, port);  // like set_field: the address still lands
+  refresh_ip_checksum(frame, *l3);
+  refresh_l4_checksum(frame, *l3);
+  return true;
+}
 
 bool apply_header_action(const Action& action, net::Packet& packet) {
   if (std::holds_alternative<PushVlanAction>(action)) {

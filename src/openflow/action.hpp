@@ -107,6 +107,15 @@ inline Action ct_dnat(net::Ipv4Addr target_ip, std::uint16_t target_port = 0) {
 /// could not be applied (e.g. set vlan_vid on an untagged frame).
 bool apply_header_action(const Action& action, net::Packet& packet);
 
+/// Rewrite one endpoint of an IPv4 TCP/UDP packet — the source (or,
+/// with `source` false, the destination) address and port — with a
+/// single checksum refresh: the conntrack NAT rewrite. Byte-identical
+/// to set_field(ip) followed by set_field(port), because each refresh
+/// zeroes the checksum field before summing and so depends only on the
+/// final bytes. Returns false (frame untouched) on a non-IPv4 frame; a
+/// frame too short for the ports gets the address rewrite only.
+bool rewrite_endpoint(net::Packet& packet, bool source, std::uint32_t ip, std::uint16_t port);
+
 [[nodiscard]] std::string to_string(const Action& action);
 [[nodiscard]] std::string to_string(const ActionList& actions);
 

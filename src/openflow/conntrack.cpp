@@ -25,15 +25,15 @@ std::uint64_t ConnTracker::classify_entry(const Slot& slot, bool reply_dir) cons
 std::uint64_t ConnTracker::classify(const CtTuple& tuple, std::uint8_t tcp_flags,
                                     sim::SimNanos now) {
   ++stats_.lookups;
-  if (auto it = orig_map_.find(tuple); it != orig_map_.end()) {
-    const Slot& slot = slots_[it->second];
+  if (const std::uint32_t* id = orig_map_.find(tuple)) {
+    const Slot& slot = slots_[*id];
     if (slot.entry.expires_at > now) {
       ++stats_.hits;
       return classify_entry(slot, false);
     }
   }
-  if (auto it = reply_map_.find(tuple); it != reply_map_.end()) {
-    const Slot& slot = slots_[it->second];
+  if (const std::uint32_t* id = reply_map_.find(tuple)) {
+    const Slot& slot = slots_[*id];
     if (slot.entry.expires_at > now) {
       ++stats_.hits;
       return classify_entry(slot, true);
@@ -182,8 +182,8 @@ CtOutcome ConnTracker::process(const CtTuple& tuple, std::uint8_t tcp_flags, sim
   // Lazy expiry: an entry past its deadline is dead even if the sweep
   // has not reaped it yet — identical behavior to the classifier
   // prelude, which already treats it as missing.
-  if (auto it = orig_map_.find(tuple); it != orig_map_.end()) {
-    const std::uint32_t id = it->second;
+  if (const std::uint32_t* found = orig_map_.find(tuple)) {
+    const std::uint32_t id = *found;
     if (slots_[id].entry.expires_at <= now) {
       kill(id, true, now);
       ++stats_.expired;
@@ -206,8 +206,8 @@ CtOutcome ConnTracker::process(const CtTuple& tuple, std::uint8_t tcp_flags, sim
       return out;
     }
   }
-  if (auto it = reply_map_.find(tuple); it != reply_map_.end()) {
-    const std::uint32_t id = it->second;
+  if (const std::uint32_t* found = reply_map_.find(tuple)) {
+    const std::uint32_t id = *found;
     if (slots_[id].entry.expires_at <= now) {
       kill(id, true, now);
       ++stats_.expired;
@@ -525,20 +525,19 @@ CtRestoreResult ConnTracker::restore(const CtSnapshot& snapshot, sim::SimNanos n
 void ConnTracker::apply_delta(const CtDelta& delta, sim::SimNanos now) {
   ++stats_.deltas_applied;
   const CtSnapshotEntry& e = delta.entry;
-  const auto it = orig_map_.find(e.orig);
+  const std::uint32_t* found = orig_map_.find(e.orig);
 
   if (delta.kind == CtDelta::Kind::kClose) {
-    if (it != orig_map_.end() && slots_[it->second].entry.reply == e.reply) {
-      kill(it->second, false, now);
-    }
+    if (found != nullptr && slots_[*found].entry.reply == e.reply) kill(*found, false, now);
     return;
   }
 
-  if (it != orig_map_.end()) {
+  if (found != nullptr) {
     // In-place advance of a connection we already mirror. A reply-tuple
     // mismatch means a different connection owns the key: drop rather
     // than corrupt the reverse map.
-    Slot& slot = slots_[it->second];
+    const std::uint32_t id = *found;
+    Slot& slot = slots_[id];
     if (!(slot.entry.reply == e.reply)) return;
     slot.entry.seen_reply = e.seen_reply;
     slot.entry.closing = e.closing;
@@ -546,8 +545,8 @@ void ConnTracker::apply_delta(const CtDelta& delta, sim::SimNanos now) {
     slot.entry.confirmed = true;
     slot.entry.last_seen = now;
     slot.entry.expires_at = now + e.remaining_ns;
-    lru_touch(it->second);
-    file_deadline(it->second, slot);
+    lru_touch(id);
+    file_deadline(id, slot);
     dirty_ = true;
     return;
   }
@@ -600,8 +599,13 @@ std::size_t ConnTracker::demote_all(sim::SimNanos now) {
 
 std::size_t ConnTracker::resync(const CtSnapshot& snapshot, sim::SimNanos now) {
   std::size_t upserts = 0;
-  std::unordered_map<std::uint32_t, bool> covered;  // slot id -> authoritative
-  covered.reserve(snapshot.entries.size());
+  // Per-slot "the snapshot vouched for this connection" flags, indexed
+  // by slot id (grown as upserts allocate slots).
+  std::vector<bool> covered(slots_.size(), false);
+  const auto cover = [&](std::uint32_t id) {
+    if (id >= covered.size()) covered.resize(slots_.size(), false);
+    covered[id] = true;
+  };
 
   for (const CtSnapshotEntry& e : snapshot.entries) {
     if (e.remaining_ns <= 0) continue;
@@ -610,19 +614,21 @@ std::size_t ConnTracker::resync(const CtSnapshot& snapshot, sim::SimNanos now) {
     // (kill() may emit a kClose delta; the HA layer's sink is
     // role/fence-gated, so a resyncing box never echoes these out.)
     for (const CtTuple* t : {&e.orig, &e.reply}) {
-      if (auto it = orig_map_.find(*t); it != orig_map_.end()) {
-        const Slot& s = slots_[it->second];
-        if (!(s.entry.orig == e.orig && s.entry.reply == e.reply)) kill(it->second, false, now);
+      if (const std::uint32_t* found = orig_map_.find(*t)) {
+        const std::uint32_t id = *found;
+        const Slot& s = slots_[id];
+        if (!(s.entry.orig == e.orig && s.entry.reply == e.reply)) kill(id, false, now);
       }
-      if (auto it = reply_map_.find(*t); it != reply_map_.end()) {
-        const Slot& s = slots_[it->second];
-        if (!(s.entry.orig == e.orig && s.entry.reply == e.reply)) kill(it->second, false, now);
+      if (const std::uint32_t* found = reply_map_.find(*t)) {
+        const std::uint32_t id = *found;
+        const Slot& s = slots_[id];
+        if (!(s.entry.orig == e.orig && s.entry.reply == e.reply)) kill(id, false, now);
       }
     }
 
-    if (auto it = orig_map_.find(e.orig); it != orig_map_.end()) {
+    if (const std::uint32_t* found = orig_map_.find(e.orig)) {
       // Same connection survives locally: take the active's view.
-      const std::uint32_t id = it->second;
+      const std::uint32_t id = *found;
       Slot& slot = slots_[id];
       slot.entry.nat = e.nat;
       slot.entry.seen_reply = e.seen_reply;
@@ -632,7 +638,7 @@ std::size_t ConnTracker::resync(const CtSnapshot& snapshot, sim::SimNanos now) {
       slot.entry.expires_at = now + e.remaining_ns;
       lru_touch(id);
       file_deadline(id, slot);
-      covered.emplace(id, true);
+      cover(id);
       ++upserts;
       continue;
     }
@@ -656,7 +662,7 @@ std::size_t ConnTracker::resync(const CtSnapshot& snapshot, sim::SimNanos now) {
     reply_map_.emplace(e.reply, id);
     lru_push_front(id);
     file_deadline(id, slot);
-    covered.emplace(id, true);
+    cover(id);
     ++upserts;
   }
 
@@ -665,7 +671,7 @@ std::size_t ConnTracker::resync(const CtSnapshot& snapshot, sim::SimNanos now) {
   // the transient timeout.
   for (std::uint32_t id = 0; id < slots_.size(); ++id) {
     Slot& slot = slots_[id];
-    if (!slot.live || covered.contains(id)) continue;
+    if (!slot.live || (id < covered.size() && covered[id])) continue;
     slot.entry.confirmed = false;
     const sim::SimNanos cap = now + timeout_for(slot.entry);
     if (slot.entry.expires_at > cap) {

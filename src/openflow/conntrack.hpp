@@ -24,6 +24,15 @@
 //   * Capacity is bounded per shard; commits into a full table evict
 //     the least-recently-seen connection (LRU).
 //
+// Storage stays allocation-free in steady state: connections live in a
+// slot vector (freed slots recycle through a free list; the LRU is
+// intrusive, linked by slot id), and two flat open-addressing indexes
+// find them — orig tuple -> slot id and reply tuple -> slot id
+// (util::IdMap: one array of (tuple, id) pairs, linear probing,
+// backward-shift deletion). A lookup is one hash plus a short
+// contiguous probe; a commit or a kill never touches the allocator
+// once the tables have grown to the working set.
+//
 // NAT lives here too: the first commit through a translating CtAction
 // records the mapping (SNAT allocates an external port, DNAT stores
 // the target), and every subsequent packet of the connection — either
@@ -36,12 +45,12 @@
 #include <functional>
 #include <map>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "openflow/action.hpp"
 #include "sim/time.hpp"
 #include "util/hash.hpp"
+#include "util/id_map.hpp"
 
 namespace harmless::openflow {
 
@@ -59,17 +68,14 @@ struct CtTuple {
   [[nodiscard]] std::uint64_t symmetric_hash() const {
     return util::symmetric_flow_hash(src_ip, src_port, dst_ip, dst_port, proto);
   }
-  /// Directional hash key (order-sensitive, unlike symmetric_hash).
+  /// Directional hash key (order-sensitive, unlike symmetric_hash) —
+  /// what the connection index (util::IdMap) probes with.
   [[nodiscard]] std::uint64_t key_hash() const {
     std::uint64_t h = util::hash_u64(util::kHashSeed, util::flow_endpoint(src_ip, src_port));
     h = util::hash_u64(h, util::flow_endpoint(dst_ip, dst_port));
     return util::hash_u64(h, proto);
   }
   friend bool operator==(const CtTuple&, const CtTuple&) = default;
-};
-
-struct CtTupleHash {
-  std::size_t operator()(const CtTuple& t) const { return static_cast<std::size_t>(t.key_hash()); }
 };
 
 /// Per-shard tunables (EXPERIMENTS.md "Conntrack knobs").
@@ -346,8 +352,12 @@ class ConnTracker {
   std::size_t steer_shards_ = 1;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
-  std::unordered_map<CtTuple, std::uint32_t, CtTupleHash> orig_map_;
-  std::unordered_map<CtTuple, std::uint32_t, CtTupleHash> reply_map_;
+  /// The connection index: flat open-addressing CtTuple -> slot id
+  /// tables (util::IdMap — linear probing, backward-shift delete, keys
+  /// compared by value), one per direction. Inserts keep
+  /// insert-if-absent semantics, erases go by key.
+  util::IdMap<std::uint32_t, CtTuple> orig_map_;
+  util::IdMap<std::uint32_t, CtTuple> reply_map_;
   /// Coarse timer wheel: deadline bucket -> (slot id, generation).
   /// Buckets are swept lazily; a refreshed entry is re-filed when its
   /// stale bucket comes due.

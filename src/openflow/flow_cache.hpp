@@ -45,14 +45,22 @@
 // entry's reference bit, and an insert into a full tier sweeps the
 // clock hand, sparing referenced entries (clearing their bit) and
 // evicting the first unreferenced one — so elephant aggregates stay
-// resident while one-shot mice recycle. The hand sweeps insertion
-// order; eviction also unlinks the victim from its subtable (dropping
-// the subtable when it empties). Only the exact-match microflow tier
-// still resets wholesale when full; its entries are pointers into the
-// megaflow tier and re-seed on the next packet.
+// resident while one-shot mice recycle. The CLOCK ring is the resident
+// megaflows themselves, held in an insertion-ordered std::list (stable
+// addresses for the tier-1 and subtable pointers into it) with the
+// hand an iterator into that list: sparing an entry and unlinking the
+// victim are both O(1), so an eviction costs only the entries it
+// passes over. A hand left one past the end (the victim was the last
+// entry, or the ring was empty) names the next appended entry; a
+// purge or clear parks it back at the front. Eviction also unlinks the
+// victim from its subtable (dropping the subtable when it empties).
+// Only the exact-match microflow tier still resets wholesale when
+// full; its entries are pointers into the megaflow tier and re-seed on
+// the next packet.
 #pragma once
 
 #include <cstdint>
+#include <list>
 #include <memory>
 #include <vector>
 
@@ -242,6 +250,9 @@ class FlowCache {
   [[nodiscard]] bool linear_scan() const { return linear_scan_; }
 
   [[nodiscard]] std::size_t megaflow_count() const { return megaflows_.size(); }
+  /// Resident megaflows in insertion order — the CLOCK ring the
+  /// eviction hand sweeps.
+  [[nodiscard]] const std::list<MegaflowEntry>& megaflows() const { return megaflows_; }
   [[nodiscard]] std::size_t microflow_count() const { return microflow_.size(); }
   /// Live per-mask subtables (== distinct megaflow mask signatures).
   [[nodiscard]] std::size_t subtable_count() const { return subtables_.size(); }
@@ -294,10 +305,12 @@ class FlowCache {
   std::uint64_t own_epoch_ = 1;         // storage for a standalone cache
   std::uint64_t* epoch_ = &own_epoch_;  // the (possibly shared) live counter
   std::uint64_t purged_epoch_ = 1;      // epoch purge_stale last ran against
-  std::size_t clock_hand_ = 0;      // next megaflow the eviction sweep examines
   std::uint64_t tier2_lookups_ = 0; // drives the rank-decay cadence
   bool linear_scan_ = false;
-  std::vector<std::unique_ptr<MegaflowEntry>> megaflows_;  // insertion order
+  std::list<MegaflowEntry> megaflows_;  // insertion order: the CLOCK ring
+  /// Next megaflow the eviction sweep examines; end() names the next
+  /// appended entry.
+  std::list<MegaflowEntry>::iterator clock_hand_ = megaflows_.end();
   /// The classifier, in probe order (kept sorted by decaying rank: a
   /// hit bubbles its subtable toward the front past colder neighbors).
   std::vector<std::unique_ptr<MegaflowSubtable>> subtables_;

@@ -279,17 +279,18 @@ void Pipeline::ct_execute(const CtAction& spec, net::Packet& packet, PipelineRes
     // Apply the tracker's stored translation — resolved per packet, so
     // replaying a megaflow through here re-derives the rewrite from
     // live connection state instead of baking stale constants in.
+    // One checksum refresh per (ip, port) pair, not one per field.
     if (outcome.translation.src) {
-      apply_header_action(SetFieldAction{Field::kIpSrc, outcome.translation.src_ip}, packet);
-      apply_header_action(SetFieldAction{Field::kL4Src, outcome.translation.src_port}, packet);
+      rewrite_endpoint(packet, /*source=*/true, outcome.translation.src_ip,
+                       outcome.translation.src_port);
       if (learn != nullptr) {
         learn->mark_overwritten(Field::kIpSrc);
         learn->mark_overwritten(Field::kL4Src);
       }
     }
     if (outcome.translation.dst) {
-      apply_header_action(SetFieldAction{Field::kIpDst, outcome.translation.dst_ip}, packet);
-      apply_header_action(SetFieldAction{Field::kL4Dst, outcome.translation.dst_port}, packet);
+      rewrite_endpoint(packet, /*source=*/false, outcome.translation.dst_ip,
+                       outcome.translation.dst_port);
       if (learn != nullptr) {
         learn->mark_overwritten(Field::kIpDst);
         learn->mark_overwritten(Field::kL4Dst);

@@ -6,6 +6,7 @@
 
 #include "controller/apps/maglev.hpp"
 #include "openflow/group_table.hpp"
+#include "util/strings.hpp"
 
 namespace harmless::controller {
 namespace {
@@ -13,7 +14,7 @@ namespace {
 std::vector<MaglevBackend> backends(int count) {
   std::vector<MaglevBackend> out;
   for (int i = 0; i < count; ++i)
-    out.push_back(MaglevBackend{"b" + std::to_string(i), net::MacAddr::from_u64(0xb0 + i),
+    out.push_back(MaglevBackend{util::format("b%d", i), net::MacAddr::from_u64(0xb0 + i),
                                 net::Ipv4Addr(10, 0, 0, static_cast<std::uint8_t>(10 + i)),
                                 static_cast<std::uint32_t>(i + 2)});
   return out;

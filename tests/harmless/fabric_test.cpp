@@ -8,6 +8,7 @@
 #include "harmless/fabric.hpp"
 #include "net/build.hpp"
 #include "sim/network.hpp"
+#include "util/strings.hpp"
 
 namespace harmless::core {
 namespace {
@@ -52,7 +53,7 @@ struct Rig {
     legacy_switch =
         &network.add_node<LegacySwitch>("legacy", harmless_legacy_config(kAccessPorts));
     for (int i = 0; i < kAccessPorts; ++i) {
-      Host& host = network.add_host("h" + std::to_string(i + 1),
+      Host& host = network.add_host(util::format("h%d", i + 1),
                                     MacAddr::from_u64(0x020000000001ULL + i),
                                     Ipv4Addr(10, 0, 0, static_cast<std::uint8_t>(i + 1)));
       network.connect(host, 0, *legacy_switch, static_cast<std::size_t>(i),

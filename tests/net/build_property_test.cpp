@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include "net/build.hpp"
+#include "net/ip.hpp"
 #include "net/parse.hpp"
+#include "openflow/action.hpp"
 #include "util/rng.hpp"
 
 namespace harmless::net {
@@ -204,6 +206,95 @@ TEST(BuildProperty, ArpPairIsSymmetric) {
   EXPECT_EQ(parsed_reply.arp->sender_ip, ip_b);
   EXPECT_EQ(parsed_reply.arp->target_ip, ip_a);
   EXPECT_EQ(parsed_reply.eth_dst, mac_a);  // unicast back
+}
+
+// ------------------------------------------------------ checksum paths
+
+/// The original l4_checksum: copy the pseudo-header and the whole
+/// segment into one buffer and checksum that.
+std::uint16_t pseudo_copy_l4_checksum(Ipv4Addr src, Ipv4Addr dst, IpProto proto,
+                                      BytesView segment) {
+  Bytes pseudo;
+  put32(pseudo, src.value());
+  put32(pseudo, dst.value());
+  put8(pseudo, 0);
+  put8(pseudo, static_cast<std::uint8_t>(proto));
+  put16(pseudo, static_cast<std::uint16_t>(segment.size()));
+  pseudo.insert(pseudo.end(), segment.begin(), segment.end());
+  return internet_checksum(pseudo);
+}
+
+TEST(ChecksumProperty, L4ChecksumMatchesPseudoHeaderCopyOnRandomSpans) {
+  util::Rng rng(1624);
+  for (int i = 0; i < 20000; ++i) {
+    Bytes segment(rng.below(1601));  // odd lengths included
+    for (std::uint8_t& byte : segment) byte = static_cast<std::uint8_t>(rng.below(256));
+    // Mostly saturated bytes now and then: long carry chains in the fold.
+    if (rng.chance(0.1)) std::fill(segment.begin(), segment.end(), 0xff);
+    const Ipv4Addr src(static_cast<std::uint32_t>(rng.next()));
+    const Ipv4Addr dst(static_cast<std::uint32_t>(rng.next()));
+    const auto proto = static_cast<IpProto>(rng.below(256));
+    ASSERT_EQ(l4_checksum(src, dst, proto, segment),
+              pseudo_copy_l4_checksum(src, dst, proto, segment))
+        << "case " << i << " length " << segment.size();
+  }
+}
+
+/// A random IPv4 TCP or UDP frame, sometimes VLAN-tagged, with a wrong
+/// or zero checksum, truncated below its IP total_length, or with a few
+/// random bytes flipped (which can make it non-IPv4 or non-TCP/UDP).
+Bytes random_l4_frame(util::Rng& rng) {
+  FlowKey key;
+  key.eth_src = MacAddr::from_u64(0x020000000000 | rng.below(1 << 20));
+  key.eth_dst = MacAddr::from_u64(0x020000000000 | rng.below(1 << 20));
+  key.ip_src = Ipv4Addr(static_cast<std::uint32_t>(rng.next()));
+  key.ip_dst = Ipv4Addr(static_cast<std::uint32_t>(rng.next()));
+  key.src_port = static_cast<std::uint16_t>(rng.below(65536));
+  key.dst_port = static_cast<std::uint16_t>(rng.below(65536));
+  const bool tcp = rng.chance(0.5);
+  const Packet built = tcp ? make_tcp(key, kTcpAck, std::string(rng.below(300), 'x'))
+                           : make_udp(key, 60 + rng.below(1459), static_cast<std::uint8_t>(rng.below(256)));
+  Bytes frame = built.frame();
+  if (rng.chance(0.3)) vlan_push(frame, VlanTag{static_cast<VlanId>(1 + rng.below(4094)), 0, false});
+  const std::size_t l4 = (vlan_peek(frame) ? kEthHeaderSize + 4 : kEthHeaderSize) + kIpv4HeaderSize;
+  const std::size_t checksum_at = l4 + (tcp ? 16 : 6);
+  if (rng.chance(0.15) && checksum_at + 2 <= frame.size()) {
+    frame[checksum_at] = static_cast<std::uint8_t>(rng.below(256));  // already wrong
+    frame[checksum_at + 1] = static_cast<std::uint8_t>(rng.below(256));
+  }
+  if (!tcp && rng.chance(0.1)) frame[checksum_at] = frame[checksum_at + 1] = 0;  // "no checksum"
+  if (rng.chance(0.25)) frame.resize(rng.below(frame.size() + 1));  // total_length > frame
+  if (rng.chance(0.05) && !frame.empty()) frame[rng.below(frame.size())] ^= 0xff;
+  return frame;
+}
+
+TEST(ChecksumProperty, OneRefreshEndpointRewriteMatchesTwoSetFields) {
+  // The conntrack NAT rewrite (address + port, one checksum refresh)
+  // must leave exactly the bytes that set_field(ip) then set_field(port)
+  // — two refreshes — leave, on every frame shape.
+  util::Rng rng(768);
+  std::size_t rewritten = 0;
+  for (int i = 0; i < 40000; ++i) {
+    const Bytes frame = random_l4_frame(rng);
+    const bool source = rng.chance(0.5);
+    const auto ip = static_cast<std::uint32_t>(rng.next());
+    const auto port = static_cast<std::uint16_t>(rng.below(65536));
+
+    Packet two_fields{Bytes(frame)};
+    const bool ip_ok = openflow::apply_header_action(
+        openflow::SetFieldAction{source ? openflow::Field::kIpSrc : openflow::Field::kIpDst, ip},
+        two_fields);
+    (void)openflow::apply_header_action(
+        openflow::SetFieldAction{source ? openflow::Field::kL4Src : openflow::Field::kL4Dst, port},
+        two_fields);
+
+    Packet one_refresh{Bytes(frame)};
+    const bool rewrite_ok = openflow::rewrite_endpoint(one_refresh, source, ip, port);
+    ASSERT_EQ(rewrite_ok, ip_ok) << "case " << i;
+    ASSERT_EQ(one_refresh.frame(), two_fields.frame()) << "case " << i << " size " << frame.size();
+    if (rewrite_ok) ++rewritten;
+  }
+  EXPECT_GT(rewritten, 30000u);  // the generator mostly yields rewritable frames
 }
 
 }  // namespace

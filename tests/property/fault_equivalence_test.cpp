@@ -119,7 +119,7 @@ ChaosOutcome run_chaos(std::uint64_t seed) {
   std::vector<std::unordered_set<std::uint64_t>> seen(static_cast<std::size_t>(host_count));
   ChaosOutcome outcome;
   for (int i = 0; i < host_count; ++i) {
-    sim::Host& host = network.add_host("h" + std::to_string(i), host_mac(i), host_ip(i));
+    sim::Host& host = network.add_host(util::format("h%d", i), host_mac(i), host_ip(i));
     network.connect(host, 0, sw, static_cast<std::size_t>(i), sim::LinkSpec::gbps(10));
     host.set_on_receive([&outcome, &seen, i](const net::Packet& packet,
                                              const net::ParsedPacket&) {

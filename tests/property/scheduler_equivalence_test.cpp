@@ -287,9 +287,12 @@ TEST_P(SinglePortSchedulers, AllSchedulersDegenerateToFcfsOnOneActivePort) {
   const std::uint64_t seed = GetParam();
   const Script script = make_single_port_script(seed, 4);
 
-  const SinglePortRun fcfs = run_single_port(script, {sim::SchedulerKind::kFcfs});
-  const SinglePortRun rr = run_single_port(script, {sim::SchedulerKind::kRoundRobin});
-  const SinglePortRun drr = run_single_port(script, {sim::SchedulerKind::kDrr});
+  const SinglePortRun fcfs =
+      run_single_port(script, bench::scheduler_spec(sim::SchedulerKind::kFcfs));
+  const SinglePortRun rr =
+      run_single_port(script, bench::scheduler_spec(sim::SchedulerKind::kRoundRobin));
+  const SinglePortRun drr =
+      run_single_port(script, bench::scheduler_spec(sim::SchedulerKind::kDrr));
 
   for (const SinglePortRun* other : {&rr, &drr}) {
     EXPECT_EQ(other->host_rx, fcfs.host_rx) << "seed " << seed;
@@ -365,9 +368,11 @@ TEST(SchedulerMultiset, ReorderingNeverChangesWhatIsDeliveredOrCounted) {
                            result.entry_stats);
   };
 
-  const auto fcfs = run({sim::SchedulerKind::kFcfs});
-  const auto rr = run({sim::SchedulerKind::kRoundRobin});
-  const auto drr = run({sim::SchedulerKind::kDrr, 1, 512});
+  sim::SchedulerSpec drr_512 = bench::scheduler_spec(sim::SchedulerKind::kDrr);
+  drr_512.drr_quantum_bytes = 512;
+  const auto fcfs = run(bench::scheduler_spec(sim::SchedulerKind::kFcfs));
+  const auto rr = run(bench::scheduler_spec(sim::SchedulerKind::kRoundRobin));
+  const auto drr = run(drr_512);
   EXPECT_EQ(rr, fcfs);
   EXPECT_EQ(drr, fcfs);
   EXPECT_EQ(std::get<2>(fcfs), 0u);  // paced within capacity: no drops anywhere

@@ -142,12 +142,19 @@ TEST(Channel, DownChannelDropsEverything) {
   EXPECT_EQ(delivered, 1u);
 }
 
+/// A 4-deep rx queue, every other ingress knob at its default.
+IngressSpec shallow_ingress() {
+  IngressSpec ingress;
+  ingress.queue_capacity = 4;
+  return ingress;
+}
+
 /// A ServicedNode that echoes everything back out the ingress port
 /// with a fixed service time per packet.
 class EchoNode : public ServicedNode {
  public:
   EchoNode(Engine& engine, SimNanos service_ns, std::size_t burst_size = 1,
-           IngressSpec ingress = IngressSpec{.queue_capacity = 4})
+           IngressSpec ingress = shallow_ingress())
       : ServicedNode(engine, "echo", ingress, burst_size), service_ns_(service_ns) {
     ensure_ports(1);
   }

@@ -109,7 +109,7 @@ TEST(Overload, DrrIsolatesTheMousePortFromAnElephantOverload) {
   // buffer): the elephant's backlog owns the whole buffer, so the
   // mouse's packets tail-drop at admission even though the mouse asks
   // for 5% of capacity — head-of-line blocking as buffer monopoly.
-  const IsolationRun fcfs = isolation_run({sim::SchedulerKind::kFcfs},
+  const IsolationRun fcfs = isolation_run(bench::scheduler_spec(sim::SchedulerKind::kFcfs),
                                           /*port_queue_capacity=*/0);
   EXPECT_GT(fcfs.mouse_port_drops, 200u);
   EXPECT_LT(fcfs.mouse_completed, 2'000u);
@@ -119,7 +119,7 @@ TEST(Overload, DrrIsolatesTheMousePortFromAnElephantOverload) {
   // own 256-slot queue, the mouse's queue stays near-empty, and its
   // flow rides through lossless while the elephant keeps tail-dropping
   // on its own port.
-  const IsolationRun drr = isolation_run({sim::SchedulerKind::kDrr},
+  const IsolationRun drr = isolation_run(bench::scheduler_spec(sim::SchedulerKind::kDrr),
                                          /*port_queue_capacity=*/256);
   EXPECT_EQ(drr.mouse_port_drops, 0u);
   EXPECT_EQ(drr.mouse_completed, 2'000u);

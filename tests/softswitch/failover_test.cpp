@@ -21,6 +21,7 @@
 #include "sim/witness.hpp"
 #include "softswitch/replication.hpp"
 #include "softswitch/soft_switch.hpp"
+#include "util/strings.hpp"
 
 namespace {
 
@@ -72,7 +73,7 @@ struct Rig {
     sw = &network.add_node<SoftSwitch>("sw", 0xA5, static_cast<std::size_t>(host_count),
                                        /*table_count=*/1);
     for (int i = 0; i < host_count; ++i) {
-      sim::Host& host = network.add_host("h" + std::to_string(i), host_mac(i), host_ip(i));
+      sim::Host& host = network.add_host(util::format("h%d", i), host_mac(i), host_ip(i));
       network.connect(host, 0, *sw, static_cast<std::size_t>(i), sim::LinkSpec::gbps(10));
       hosts.push_back(&host);
     }
@@ -828,7 +829,7 @@ TEST(LegacyLinkDown, FlushesMacsLearnedOnPort) {
   auto& device = network.add_node<legacy::LegacySwitch>("legacy", config);
   std::vector<sim::Host*> hosts;
   for (int i = 0; i < 3; ++i) {
-    sim::Host& host = network.add_host("h" + std::to_string(i), host_mac(i), host_ip(i));
+    sim::Host& host = network.add_host(util::format("h%d", i), host_mac(i), host_ip(i));
     network.connect(host, 0, device, static_cast<std::size_t>(i), sim::LinkSpec::gbps(1));
     hosts.push_back(&host);
   }

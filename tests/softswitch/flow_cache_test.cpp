@@ -12,6 +12,7 @@
 #include "openflow/pipeline.hpp"
 #include "sim/network.hpp"
 #include "softswitch/soft_switch.hpp"
+#include "util/rng.hpp"
 
 namespace harmless::softswitch {
 namespace {
@@ -453,6 +454,147 @@ TEST(FlowCache, ClockEvictionKeepsElephantsResident) {
   }
   EXPECT_EQ(elephant_misses, 0u);
   EXPECT_GT(pipeline.cache().stats().evictions, 0u);
+}
+
+// ------------------------------------------------------- CLOCK order
+
+/// The vector-index CLOCK the cache used before its ring became a list,
+/// kept as the reference for the victim sequence: entries in insertion
+/// order, the hand an index into them. Erasing the victim leaves the
+/// hand on its successor — or one past the end, where it names the
+/// next appended entry. A purge resets the hand to the front.
+struct VectorIndexClock {
+  struct Entry {
+    std::uint64_t id = 0;
+    bool referenced = false;
+  };
+  std::vector<Entry> ring;
+  std::size_t hand = 0;
+
+  /// Append `id`, evicting first when full; returns the victim (0 = none).
+  std::uint64_t insert(std::uint64_t id, std::size_t capacity) {
+    std::uint64_t victim = 0;
+    if (ring.size() >= capacity) {
+      for (std::size_t step = 0; step < 2 * ring.size(); ++step) {
+        if (hand >= ring.size()) hand = 0;
+        if (ring[hand].referenced) {
+          ring[hand].referenced = false;
+          ++hand;
+          continue;
+        }
+        victim = ring[hand].id;
+        ring.erase(ring.begin() + static_cast<std::ptrdiff_t>(hand));
+        break;
+      }
+    }
+    ring.push_back(Entry{id, false});
+    return victim;
+  }
+  void hit(std::uint64_t id) {
+    for (Entry& entry : ring)
+      if (entry.id == id) entry.referenced = true;
+  }
+  void purge() {
+    ring.clear();
+    hand = 0;
+  }
+};
+
+FieldView dst_view(std::uint64_t dst) {
+  FieldView view;
+  view.set(Field::kEthDst, dst);
+  return view;
+}
+
+MegaflowEntry dst_megaflow(std::uint64_t dst) {
+  MegaflowEntry entry;
+  entry.required_present = field_bit(Field::kEthDst);
+  entry.masks[static_cast<std::size_t>(Field::kEthDst)] = field_all_ones(Field::kEthDst);
+  entry.values[static_cast<std::size_t>(Field::kEthDst)] = dst;
+  return entry;
+}
+
+std::uint64_t dst_of(const MegaflowEntry& entry) {
+  return entry.values[static_cast<std::size_t>(Field::kEthDst)];
+}
+
+/// Insert `dst` and report which resident megaflow it displaced (0 = none).
+std::uint64_t insert_and_find_victim(FlowCache& cache, std::uint64_t dst) {
+  std::vector<std::uint64_t> before;
+  for (const MegaflowEntry& entry : cache.megaflows()) before.push_back(dst_of(entry));
+  (void)cache.insert(dst_megaflow(dst), dst_view(dst));
+  for (const MegaflowEntry& entry : cache.megaflows()) std::erase(before, dst_of(entry));
+  return before.empty() ? 0 : before.front();
+}
+
+/// The cache's ring (ids and reference bits, in order) equals the model's.
+void expect_same_ring(const FlowCache& cache, const VectorIndexClock& model) {
+  std::vector<std::pair<std::uint64_t, bool>> actual;
+  for (const MegaflowEntry& entry : cache.megaflows()) actual.emplace_back(dst_of(entry), entry.referenced);
+  std::vector<std::pair<std::uint64_t, bool>> expected;
+  for (const auto& entry : model.ring) expected.emplace_back(entry.id, entry.referenced);
+  EXPECT_EQ(actual, expected);
+}
+
+TEST(FlowCache, ClockHandAtTheEndNamesTheNextAppendedEntry) {
+  // Ring [1 2 3], 1 and 2 referenced: inserting 4 spares 1 and 2 and
+  // evicts 3, the last entry, leaving the hand one past the end. The
+  // hand must then point at 4 (appended there), so inserting 5 evicts
+  // 4 — not 1, which a hand wrapped to the front would pick.
+  FlowCache cache;
+  FlowCache::Limits limits;
+  limits.max_megaflows = 3;
+  cache.set_limits(limits);
+  for (std::uint64_t dst = 1; dst <= 3; ++dst) EXPECT_EQ(insert_and_find_victim(cache, dst), 0u);
+  ASSERT_NE(cache.lookup(dst_view(1), 0), nullptr);
+  ASSERT_NE(cache.lookup(dst_view(2), 0), nullptr);
+  EXPECT_EQ(insert_and_find_victim(cache, 4), 3u);
+  EXPECT_EQ(insert_and_find_victim(cache, 5), 4u);
+  // Each such eviction parks the hand at the end again, so it keeps
+  // naming the newest entry while it stays unreferenced.
+  EXPECT_EQ(insert_and_find_victim(cache, 6), 5u);
+  ASSERT_NE(cache.lookup(dst_view(6), 0), nullptr);
+  EXPECT_EQ(insert_and_find_victim(cache, 7), 1u);  // 6 spared, wrap to the front
+}
+
+TEST(FlowCache, ClockEvictionOrderMatchesVectorIndexReference) {
+  // Random insert / hit / purge streams against small rings: every
+  // victim, and the ring with its reference bits after every step, must
+  // equal the vector-index CLOCK's.
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    util::Rng rng(seed);
+    const std::size_t capacity = 1 + rng.below(9);
+    FlowCache cache;
+    FlowCache::Limits limits;
+    limits.max_megaflows = capacity;
+    cache.set_limits(limits);
+    VectorIndexClock model;
+    std::uint64_t next_dst = 1;
+    std::uint64_t evictions = 0;
+    for (int step = 0; step < 3000; ++step) {
+      const double roll = rng.uniform();
+      if (roll < 0.45) {
+        const std::uint64_t dst = next_dst++;
+        const std::uint64_t expected = model.insert(dst, capacity);
+        ASSERT_EQ(insert_and_find_victim(cache, dst), expected)
+            << "seed " << seed << " step " << step;
+        if (expected != 0) ++evictions;
+      } else if (roll < 0.98) {
+        if (model.ring.empty()) continue;
+        const std::uint64_t dst = model.ring[rng.below(model.ring.size())].id;
+        ASSERT_NE(cache.lookup(dst_view(dst), 0), nullptr);
+        model.hit(dst);
+      } else {
+        // An epoch bump stales every entry; the next lookup purges them
+        // and parks the hand at the (now empty) front.
+        cache.invalidate_all();
+        EXPECT_EQ(cache.lookup(dst_view(0), 0), nullptr);
+        model.purge();
+      }
+      expect_same_ring(cache, model);
+    }
+    EXPECT_EQ(cache.stats().evictions, evictions);
+  }
 }
 
 }  // namespace
